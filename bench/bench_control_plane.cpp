@@ -5,7 +5,9 @@
 // plus the GRED_INCREMENTAL churn sweep: per-event cost of the
 // incremental control plane (delta-APSP + localized DT repair + plan
 // patching) vs the full recompute-and-reinstall path at n in
-// {256, 1024, 4096}. Emits BENCH_control_plane.json so CI can track
+// {256, 1024, 4096}, and a cold-start phase sweep (APSP, MDS embed,
+// CVT, DT build, install) of the paper's M-position control plane at
+// n in {200, 1024, 4096}. Emits BENCH_control_plane.json so CI can track
 // the speedups. Every parallel or incremental run is checked
 // bit-identical to its serial/full counterpart before any number is
 // reported. `--smoke` shrinks the churn sweep for CI.
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -160,11 +163,7 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   ChurnReport rep;
   rep.n = n;
   const bool lockstep = n <= 256;
-  core::VirtualSpaceOptions opts = bench::gred_options(smoke ? 10 : 30);
-  // Jacobi MDS is O(n^3) — fine at 256, prohibitive beyond. The churn
-  // machinery under test (delta-APSP, DT repair, plan patching) is
-  // embedding-agnostic, so the larger sizes embed with Vivaldi.
-  if (n > 256) opts.embedding = core::EmbeddingAlgorithm::kVivaldi;
+  const core::VirtualSpaceOptions opts = bench::gred_options(smoke ? 10 : 30);
   auto made =
       core::GredSystem::create(bench::make_waxman_network(n, 1, 3, 8100 + n),
                                opts);
@@ -453,6 +452,47 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   return rep;
 }
 
+struct ColdStartReport {
+  std::size_t n = 0;
+  double apsp_ms = 0;
+  double mds_embed_ms = 0;
+  double cvt_ms = 0;
+  double dt_build_ms = 0;
+  double install_ms = 0;
+  bool m_position = false;  ///< the system embedded with M-position
+};
+
+/// One cold start (GredSystem::create) of an n-switch Waxman network
+/// with the paper's M-position embedding, timed per phase by the
+/// library's own control.phase.* obs timers.
+ColdStartReport run_cold_start(std::size_t n) {
+  ColdStartReport rep;
+  rep.n = n;
+  obs::registry().reset_values();
+  obs::set_enabled(true);
+  auto sys = core::GredSystem::create(
+      bench::make_waxman_network(n, 1, 3, 7700 + n), bench::gred_options(30));
+  obs::set_enabled(false);
+  require(sys.ok(), "GredSystem::create (cold start)");
+  rep.m_position = sys.value().controller().options().embedding ==
+                   core::EmbeddingAlgorithm::kMPosition;
+  const obs::Registry::Snapshot snap = obs::registry().snapshot();
+  auto phase_ms = [&](const char* phase) {
+    const std::string name = std::string("control.phase.") + phase + ".ms";
+    for (const auto& [hist_name, hist] : snap.histograms) {
+      if (hist_name == name) return hist.sum;
+    }
+    require(false, "cold-start phase timer missing");
+    return 0.0;
+  };
+  rep.apsp_ms = phase_ms("apsp");
+  rep.mds_embed_ms = phase_ms("mds_embed");
+  rep.cvt_ms = phase_ms("cvt");
+  rep.dt_build_ms = phase_ms("dt_build");
+  rep.install_ms = phase_ms("install");
+  return rep;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -562,6 +602,19 @@ int main(int argc, char** argv) {
                 r.allocs_per_packet);
   }
 
+  // --- Cold-start phase sweep: M-position at every size. ---
+  std::vector<ColdStartReport> cold;
+  std::printf("\ncold-start phases (M-position, obs timers):\n");
+  for (const std::size_t cn : {200u, 1024u, 4096u}) {
+    cold.push_back(run_cold_start(cn));
+    const ColdStartReport& r = cold.back();
+    require(r.m_position, "cold start did not embed with M-position");
+    std::printf("  n=%-5zu apsp %.1f ms, mds_embed %.1f ms, cvt %.1f ms, "
+                "dt_build %.1f ms, install %.1f ms\n",
+                r.n, r.apsp_ms, r.mds_embed_ms, r.cvt_ms, r.dt_build_ms,
+                r.install_ms);
+  }
+
   // --- Phase timers: one full control-plane build with the obs layer
   // on. The per-phase histograms (APSP, MDS embed, C-regulation, DT
   // build, install) come straight from the instrumented library, so
@@ -608,6 +661,15 @@ int main(int argc, char** argv) {
     fields.emplace_back(p + "speedup", r.speedup);
     fields.emplace_back(p + "allocs_per_packet", r.allocs_per_packet);
     max_churn_allocs = std::max(max_churn_allocs, r.allocs_per_packet);
+  }
+  for (const ColdStartReport& r : cold) {
+    const std::string p = "cold" + std::to_string(r.n) + "_";
+    fields.emplace_back(p + "apsp_ms", r.apsp_ms);
+    fields.emplace_back(p + "mds_embed_ms", r.mds_embed_ms);
+    fields.emplace_back(p + "cvt_ms", r.cvt_ms);
+    fields.emplace_back(p + "dt_build_ms", r.dt_build_ms);
+    fields.emplace_back(p + "install_ms", r.install_ms);
+    fields.emplace_back(p + "m_position", r.m_position ? 1.0 : 0.0);
   }
   // Headline keys (largest size in the sweep). Every identity check
   // aborts the bench on divergence, so reaching this line IS the

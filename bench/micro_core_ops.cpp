@@ -60,7 +60,12 @@ void BM_DelaunayBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(dt);
   }
 }
-BENCHMARK(BM_DelaunayBuild)->Arg(50)->Arg(100)->Arg(200);
+BENCHMARK(BM_DelaunayBuild)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(256)
+    ->Arg(1024);
 
 void BM_ClassicalMds(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -76,7 +81,7 @@ void BM_ClassicalMds(benchmark::State& state) {
     benchmark::DoNotOptimize(mds);
   }
 }
-BENCHMARK(BM_ClassicalMds)->Arg(50)->Arg(100);
+BENCHMARK(BM_ClassicalMds)->Arg(50)->Arg(100)->Arg(256)->Arg(1024);
 
 void BM_ControlPlaneFull(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

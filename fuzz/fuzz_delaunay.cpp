@@ -1,10 +1,10 @@
 // Fuzz harness for the Delaunay triangulation: randomized point sets
 // with deliberately degenerate shapes (collinear chains, duplicates,
-// cocircular quadruples) are built and then extended by incremental
-// insertion. Every successful build/insert must satisfy the deep
-// gred::check::validate_delaunay invariant (empty circumcircles,
-// symmetric adjacency, closed hull) and greedy routing must reach the
-// brute-force nearest site.
+// cocircular quadruples, clusters at the unit square's corners) are
+// built and then extended by incremental insertion. Every successful
+// build/insert must satisfy the deep gred::check::validate_delaunay
+// invariant (empty circumcircles, symmetric adjacency, closed hull) and
+// greedy routing must reach the brute-force nearest site.
 #include <cstdint>
 #include <vector>
 
@@ -26,7 +26,7 @@ std::vector<Point2D> make_points(ByteSource& src, std::uint8_t mode) {
   std::vector<Point2D> pts;
   const std::size_t n = 3 + src.below(24);
   pts.reserve(n + 4);
-  switch (mode % 4) {
+  switch (mode % 5) {
     case 0:  // arbitrary points in a padded unit square
       for (std::size_t i = 0; i < n; ++i) {
         pts.push_back({src.unit_double(-0.25, 1.25),
@@ -46,7 +46,7 @@ std::vector<Point2D> make_points(ByteSource& src, std::uint8_t mode) {
       }
       break;
     }
-    default: {  // random cloud plus an exactly cocircular quadruple
+    case 3: {  // random cloud plus an exactly cocircular quadruple
       for (std::size_t i = 0; i < n; ++i) {
         pts.push_back({src.unit_double(), src.unit_double()});
       }
@@ -57,6 +57,34 @@ std::vector<Point2D> make_points(ByteSource& src, std::uint8_t mode) {
       pts.push_back({cx - r, cy});
       pts.push_back({cx, cy + r});
       pts.push_back({cx, cy - r});
+      break;
+    }
+    default: {  // random cloud plus sites clustered at the square's corners
+      // Offsets of up to 3e-7 in steps of 1e-9, often with one
+      // coordinate left exactly on the square's edge: the positions
+      // separate_duplicates leaves after joins clamp to a corner.
+      for (std::size_t i = 0; i < n; ++i) {
+        pts.push_back({src.unit_double(), src.unit_double()});
+      }
+      const std::size_t clustered = 3 + src.below(12);
+      for (std::size_t i = 0; i < clustered; ++i) {
+        const std::size_t corner = src.below(4);
+        const double cx = corner == 1 || corner == 2 ? 1.0 : 0.0;
+        const double cy = corner >= 2 ? 1.0 : 0.0;
+        const double dx = 1e-9 * (static_cast<double>(src.below(601)) - 300.0);
+        const double dy = 1e-9 * (static_cast<double>(src.below(601)) - 300.0);
+        switch (src.below(3)) {
+          case 0:
+            pts.push_back({cx, cy + dy});
+            break;
+          case 1:
+            pts.push_back({cx + dx, cy});
+            break;
+          default:
+            pts.push_back({cx + dx, cy + dy});
+            break;
+        }
+      }
       break;
     }
   }

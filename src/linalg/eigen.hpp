@@ -1,7 +1,12 @@
-// Symmetric eigendecomposition via the cyclic Jacobi rotation method.
-// The control plane's M-position algorithm needs the top-m eigenpairs of
-// the double-centered matrix B (n x n, n = #switches), for which Jacobi
-// is simple, robust, and plenty fast at these sizes.
+// Symmetric eigensolvers.
+//
+// The control plane's M-position algorithm needs only the top-m
+// eigenpairs (m = 2) of the double-centered matrix B (n x n, n =
+// #switches). `top_symmetric_eigen` extracts them by block subspace
+// iteration in O(n^2) per step. The cyclic Jacobi method
+// (`symmetric_eigen`) computes every eigenpair in O(n^3); it is the
+// test oracle for the subspace solver and the solver for its small
+// p x p Rayleigh-Ritz matrices. Production never runs it on B itself.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +21,7 @@ namespace gred::linalg {
 /// (vectors is column-major in the sense that column j is eigenvector j).
 struct EigenDecomposition {
   std::vector<double> values;
-  Matrix vectors;  ///< n x n; column j is the eigenvector for values[j].
+  Matrix vectors;  ///< n x k; column j is the eigenvector for values[j].
 };
 
 /// Options for the Jacobi sweep loop.
@@ -30,5 +35,18 @@ struct JacobiOptions {
 /// a.is_symmetric(); asserts/throws otherwise.
 EigenDecomposition symmetric_eigen(const Matrix& a,
                                    const JacobiOptions& options = {});
+
+/// The m algebraically largest eigenpairs of a symmetric matrix
+/// (values descending, vectors n x m), by deterministic block subspace
+/// iteration: block size m + 2 from a fixed start block, modified
+/// Gram-Schmidt, Rayleigh-Ritz through symmetric_eigen, stopping when
+/// every wanted Ritz residual ||A v - lambda v|| is at most
+/// 1e-10 * ||A||_F. If a negative eigenvalue competes in magnitude with
+/// the wanted ones, the iteration is repeated on A + sigma I (sigma the
+/// spectral radius) so the largest values, not the largest magnitudes,
+/// are found. Signs are fixed a priori: each vector's largest-magnitude
+/// entry is positive (lowest index on ties). Throws
+/// std::invalid_argument unless 0 < m <= n and `a` is symmetric.
+EigenDecomposition top_symmetric_eigen(const Matrix& a, std::size_t m);
 
 }  // namespace gred::linalg

@@ -1,6 +1,7 @@
 #include "linalg/mds.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "linalg/eigen.hpp"
 
@@ -67,13 +68,32 @@ Result<MdsResult> classical_mds(const Matrix& distances, std::size_t m) {
     }
   }
 
-  // Double centering: B = -1/2 J L^(2) J with J = I - A/n.
-  const Matrix l2 = distances.elementwise_square();
-  Matrix j = Matrix::identity(n);
-  j -= Matrix::ones(n, n) * (1.0 / static_cast<double>(n));
-  Matrix b = j * l2 * j;
-  b *= -0.5;
-  // Symmetrize to kill floating-point drift before Jacobi.
+  // Double centering B = -1/2 J L^(2) J with J = I - A/n, in O(n^2):
+  // B_ij = -1/2 (L2_ij - rowmean_i - colmean_j + grandmean).
+  Matrix b = distances.elementwise_square();
+  std::vector<double> row_mean(n, 0.0);
+  std::vector<double> col_mean(n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      row_mean[r] += b(r, c);
+      col_mean[c] += b(r, c);
+    }
+  }
+  const double inv_n = 1.0 / static_cast<double>(n);
+  double grand_mean = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    row_mean[i] *= inv_n;
+    col_mean[i] *= inv_n;
+    grand_mean += row_mean[i];
+  }
+  grand_mean *= inv_n;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      b(r, c) = -0.5 * (b(r, c) - row_mean[r] - col_mean[c] + grand_mean);
+    }
+  }
+  // Symmetrize to kill floating-point drift (the input is symmetric
+  // only to 1e-9).
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t c = r + 1; c < n; ++c) {
       const double avg = 0.5 * (b(r, c) + b(c, r));
@@ -82,7 +102,7 @@ Result<MdsResult> classical_mds(const Matrix& distances, std::size_t m) {
     }
   }
 
-  EigenDecomposition eig = symmetric_eigen(b);
+  const EigenDecomposition eig = top_symmetric_eigen(b, m);
 
   // Q = E_m Lambda_m^{1/2}; clamp tiny negative eigenvalues (the hop
   // metric is generally non-Euclidean, so trailing eigenvalues can dip

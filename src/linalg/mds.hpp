@@ -5,7 +5,10 @@
 //   B = Q Q^T  via eigendecomposition;  Q = E_m * Lambda_m^{1/2}
 //
 // where L is the all-pairs shortest-path (hop) matrix between switches
-// and m the embedding dimension (2 in the paper).
+// and m the embedding dimension (2 in the paper). Double centering runs
+// in O(n^2) from the row, column and grand means of L^(2); the top-m
+// eigenpairs come from block subspace iteration (top_symmetric_eigen),
+// so the whole embedding is O(n^2) per iteration rather than O(n^3).
 #pragma once
 
 #include <cstddef>
@@ -19,8 +22,8 @@ namespace gred::linalg {
 struct MdsResult {
   /// n x m coordinate matrix Q; row i is the embedded point of node i.
   Matrix coordinates;
-  /// All eigenvalues of B, descending — diagnostics for how much
-  /// distance structure the top-m dimensions capture.
+  /// The top-m eigenvalues of B, descending (the ones the embedding
+  /// uses; the rest of the spectrum is never computed).
   std::vector<double> eigenvalues;
   /// Kruskal stress-1 of the embedding against the input distances:
   /// sqrt( sum (d_ij - dhat_ij)^2 / sum d_ij^2 ). 0 = perfect.

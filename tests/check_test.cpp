@@ -130,6 +130,36 @@ TEST(ValidateDelaunay, CocircularQuadruple) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
+TEST(ValidateDelaunay, CornerClustersKeepOneHullCycle) {
+  // Sites a churned controller left within ~3e-7 of the corners (0, 0),
+  // (1, 0) and (1, 1) of the virtual space: joins whose fitted position
+  // clamped to a corner, pushed apart by separate_duplicates. Five of
+  // them lie exactly on the line x = 1. Regression: the quad predicate
+  // guarded in_circumcircle with 1e-30 * (sum of squared distances)^2,
+  // so a site on the chord between two clustered sites (determinant
+  // ~1e-32, dominated by one far vertex) read as outside the far
+  // triangle's circle. The cavity then left a flat gap, the boundary
+  // split into two cycles, and is_valid_delaunay did not notice.
+  const std::vector<Point2D> cluster{
+      {1.0, 0.0},           {0.0, 0.0},
+      {1.0, 2.58e-07},      {1.0, 2.57e-07},
+      {2.68e-07, 2.58e-07}, {1.0, 2.51e-07},
+      {2.67e-07, 2.5e-07},  {1.0, 2.43e-07},
+      {1.0, 2.42e-07},      {1.0, 1.0},
+      {1.0 + 2.65e-07, 1.0 + 2.59e-07}};
+  std::vector<Point2D> pts = random_points(40, 102);
+  pts.insert(pts.end(), cluster.begin(), cluster.end());
+  for (std::uint64_t order = 1; order <= 8; ++order) {
+    SCOPED_TRACE(order);
+    Rng rng(order);
+    auto built = DelaunayTriangulation::build(pts, &rng);
+    ASSERT_TRUE(built.ok()) << built.error().to_string();
+    EXPECT_TRUE(built.value().is_valid_delaunay());
+    const CheckReport report = validate_delaunay(built.value());
+    EXPECT_TRUE(report.ok()) << report.to_string();
+  }
+}
+
 // --- validate_virtual_space --------------------------------------------
 
 TEST(ValidateVirtualSpace, AgreesWithBruteForce) {

@@ -79,6 +79,135 @@ TEST(PredicatesTest, InCircumcircle) {
   EXPECT_FALSE(in_circumcircle(a, b, c, {0.0, -1.0}));
 }
 
+// ---------- filtered predicates vs the quad reference ----------
+//
+// orient2d / in_circumcircle decide in double precision when the static
+// error bound certifies the sign and fall back to the __float128
+// reference otherwise. Every decision must equal the reference's, and
+// the degenerate families must actually reach the fallback.
+
+struct StageCounts {
+  std::size_t cases = 0;
+  std::size_t orient_fallbacks = 0;
+  std::size_t incircle_fallbacks = 0;
+};
+
+/// Runs both predicates on one quadruple and checks them against the
+/// reference; a filter decision must also equal it directly.
+void check_against_reference(const Point2D& a, const Point2D& b,
+                             const Point2D& c, const Point2D& p,
+                             StageCounts& counts) {
+  namespace stages = predicate_stages;
+  ++counts.cases;
+  const Orientation ref_orient = stages::orient2d_reference(a, b, c);
+  ASSERT_EQ(orient2d(a, b, c), ref_orient);
+  if (const auto fast = stages::orient2d_filter(a, b, c)) {
+    ASSERT_EQ(*fast, ref_orient);
+  } else {
+    ++counts.orient_fallbacks;
+  }
+  const bool ref_in = stages::in_circumcircle_reference(a, b, c, p);
+  ASSERT_EQ(in_circumcircle(a, b, c, p), ref_in);
+  if (const auto fast = stages::in_circumcircle_filter(a, b, c, p)) {
+    ASSERT_EQ(*fast, ref_in);
+  } else {
+    ++counts.incircle_fallbacks;
+  }
+}
+
+TEST(PredicateFilterTest, RandomPointsMatchReference) {
+  Rng rng(0xf117);
+  StageCounts counts;
+  for (int i = 0; i < 400000; ++i) {
+    // Mostly the unit square; every fourth case spans [-100, 100]^2.
+    const double span = i % 4 == 0 ? 100.0 : 1.0;
+    auto draw = [&] {
+      return Point2D{rng.uniform(-span, span), rng.uniform(-span, span)};
+    };
+    check_against_reference(draw(), draw(), draw(), draw(), counts);
+  }
+  EXPECT_EQ(counts.cases, 400000u);
+  // General-position inputs are decided by the double-precision stage.
+  EXPECT_LT(counts.orient_fallbacks + counts.incircle_fallbacks, 400u);
+}
+
+TEST(PredicateFilterTest, CocircularLatticeMatchesReference) {
+  // A dyadic 9x9 lattice: exact cocircular quadruples (squares,
+  // rectangles, lattice points on one circle) and exact collinear
+  // triples abound, so many decisions are exact zeros.
+  Rng rng(0x1a77);
+  StageCounts counts;
+  auto draw = [&] {
+    return Point2D{0.125 * static_cast<double>(rng.next_below(9)),
+                   0.125 * static_cast<double>(rng.next_below(9))};
+  };
+  for (int i = 0; i < 250000; ++i) {
+    check_against_reference(draw(), draw(), draw(), draw(), counts);
+  }
+  // Squares and rectangles: the fourth corner is exactly cocircular.
+  for (int i = 0; i < 10000; ++i) {
+    const Point2D lo = draw();
+    const Point2D hi{lo.x + 0.125 * static_cast<double>(1 + rng.next_below(4)),
+                     lo.y + 0.125 * static_cast<double>(1 + rng.next_below(4))};
+    check_against_reference(lo, {hi.x, lo.y}, hi, {lo.x, hi.y}, counts);
+  }
+  EXPECT_GT(counts.orient_fallbacks, 10000u);
+  EXPECT_GT(counts.incircle_fallbacks, 10000u);
+}
+
+TEST(PredicateFilterTest, CollinearAndNearCollinearMatchReference) {
+  // Points on a line through the unit square: exact when the parameter
+  // and direction are dyadic, within an ulp of it otherwise.
+  Rng rng(0xc011);
+  StageCounts counts;
+  for (int i = 0; i < 200000; ++i) {
+    const bool exact = i % 2 == 0;
+    const Point2D origin{rng.next_double(), rng.next_double()};
+    const Point2D dir = exact ? Point2D{0.25, -0.375}
+                              : Point2D{rng.uniform(-1.0, 1.0),
+                                        rng.uniform(-1.0, 1.0)};
+    auto on_line = [&] {
+      const double t =
+          exact ? 0.0625 * static_cast<double>(rng.next_below(16))
+                : rng.next_double();
+      return Point2D{origin.x + t * dir.x, origin.y + t * dir.y};
+    };
+    const Point2D off_line{rng.next_double(), rng.next_double()};
+    const Point2D p = i % 3 == 0 ? on_line() : off_line;
+    check_against_reference(on_line(), on_line(), on_line(), p, counts);
+  }
+  EXPECT_GT(counts.orient_fallbacks, 50000u);
+  EXPECT_GT(counts.incircle_fallbacks, 1000u);
+}
+
+TEST(PredicateFilterTest, ClusteredPointsMatchReference) {
+  // Sites within ~1e-7 of each other, of a unit-square corner, or on the
+  // square's boundary (the shape separate_duplicates leaves behind),
+  // queried with cluster points and far points alike.
+  Rng rng(0xc105);
+  StageCounts counts;
+  const Point2D corners[4] = {{0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}};
+  for (int i = 0; i < 200000; ++i) {
+    const Point2D center =
+        i % 2 == 0 ? corners[rng.next_below(4)]
+                   : Point2D{rng.next_double(), rng.next_double()};
+    auto near = [&] {
+      const double dx = 1e-9 * static_cast<double>(rng.next_below(300));
+      const double dy = 1e-9 * static_cast<double>(rng.next_below(300));
+      switch (rng.next_below(3)) {
+        case 0: return Point2D{center.x, center.y + dy};  // on a boundary
+        case 1: return Point2D{center.x + dx, center.y};
+        default: return Point2D{center.x + dx, center.y + dy};
+      }
+    };
+    const Point2D far{rng.next_double(), rng.next_double()};
+    check_against_reference(near(), near(), i % 3 == 0 ? far : near(),
+                            i % 5 == 0 ? far : near(), counts);
+  }
+  EXPECT_GT(counts.orient_fallbacks, 1000u);
+  EXPECT_GT(counts.incircle_fallbacks, 1000u);
+}
+
 TEST(PredicatesTest, Circumcenter) {
   const Point2D cc = circumcenter({1, 0}, {0, 1}, {-1, 0});
   EXPECT_NEAR(cc.x, 0.0, 1e-12);

@@ -2,12 +2,17 @@
 // mathematical core of the M-position algorithm).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "graph/shortest_path.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/mds.hpp"
+#include "topology/waxman.hpp"
 
 namespace gred::linalg {
 namespace {
@@ -186,6 +191,53 @@ TEST(EigenTest, RejectsAsymmetric) {
   EXPECT_THROW(symmetric_eigen(a), std::invalid_argument);
 }
 
+TEST(TopEigenTest, FindsLargestValuesWhenNegativesDominateInMagnitude) {
+  // Spectrum {3, 2, 1, 0.5, 0.25, 0.1, -7, -8, -9, -10} in a random
+  // orthonormal basis: plain subspace iteration with a block of 4 would
+  // lock onto -10..-7, so the solver must shift to find 3 and 2.
+  const std::vector<double> spectrum{3.0,  2.0,  1.0,  0.5,  0.25,
+                                     0.1,  -7.0, -8.0, -9.0, -10.0};
+  const std::size_t n = spectrum.size();
+  Rng rng(34);
+  Matrix r(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) r(i, j) = r(j, i) = rng.uniform(-1, 1);
+  }
+  const Matrix q = symmetric_eigen(r).vectors;  // orthonormal basis
+  Matrix lambda(n, n);
+  for (std::size_t i = 0; i < n; ++i) lambda(i, i) = spectrum[i];
+  Matrix a = q * lambda * q.transpose();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      a(i, j) = a(j, i) = 0.5 * (a(i, j) + a(j, i));
+    }
+  }
+
+  const EigenDecomposition top = top_symmetric_eigen(a, 2);
+  ASSERT_EQ(top.values.size(), 2u);
+  EXPECT_NEAR(top.values[0], 3.0, 1e-9);
+  EXPECT_NEAR(top.values[1], 2.0, 1e-9);
+  for (std::size_t k = 0; k < 2; ++k) {
+    double residual = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double av = 0.0;
+      for (std::size_t j = 0; j < n; ++j) av += a(i, j) * top.vectors(j, k);
+      const double diff = av - top.values[k] * top.vectors(i, k);
+      residual += diff * diff;
+    }
+    EXPECT_LE(std::sqrt(residual), 1e-9 * a.frobenius_norm());
+  }
+}
+
+TEST(TopEigenTest, RejectsBadInput) {
+  EXPECT_THROW(top_symmetric_eigen(Matrix{{1.0, 2.0}, {3.0, 4.0}}, 1),
+               std::invalid_argument);
+  EXPECT_THROW(top_symmetric_eigen(Matrix::identity(3), 0),
+               std::invalid_argument);
+  EXPECT_THROW(top_symmetric_eigen(Matrix::identity(3), 4),
+               std::invalid_argument);
+}
+
 // ---------- classical MDS ----------
 
 /// Distance matrix of explicit 2-D points.
@@ -339,6 +391,174 @@ TEST(MdsTest, HigherDimensionReducesStrain) {
   };
   EXPECT_LE(strain(m3.value().coordinates),
             strain(m2.value().coordinates) + 1e-9);
+}
+
+// ---------- classical MDS against the Jacobi oracle ----------
+//
+// classical_mds extracts the top-2 eigenpairs of B = -1/2 J L^(2) J by
+// block subspace iteration; the full Jacobi decomposition of the same B
+// (built here with the dense J products) is the oracle.
+
+/// Hop-count matrix of a seeded Waxman graph (min degree 3).
+Matrix waxman_hops(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  topology::WaxmanOptions opt;
+  opt.node_count = n;
+  opt.min_degree = 3;
+  const topology::WaxmanTopology topo =
+      topology::generate_waxman(opt, rng).value();
+  const graph::ApspResult apsp = graph::all_pairs_shortest_paths(topo.graph);
+  Matrix d(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) d(i, j) = apsp.dist(i, j);
+  }
+  return d;
+}
+
+/// Euclidean distances of random planar points with every pair scaled
+/// by its own factor in [1, 1.15): symmetric but non-Euclidean.
+Matrix perturbed_distances(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<double, double>> pts;
+  for (std::size_t i = 0; i < n; ++i) {
+    pts.push_back({rng.next_double(), rng.next_double()});
+  }
+  Matrix d = distances_of(pts);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      d(i, j) *= 1.0 + 0.15 * rng.next_double();
+      d(j, i) = d(i, j);
+    }
+  }
+  return d;
+}
+
+/// B = -1/2 J L^(2) J with the dense products, symmetrized.
+Matrix double_centered(const Matrix& d) {
+  const std::size_t n = d.rows();
+  Matrix j = Matrix::identity(n);
+  j -= Matrix::ones(n, n) * (1.0 / static_cast<double>(n));
+  Matrix b = j * d.elementwise_square() * j;
+  b *= -0.5;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = r + 1; c < n; ++c) {
+      b(r, c) = b(c, r) = 0.5 * (b(r, c) + b(c, r));
+    }
+  }
+  return b;
+}
+
+/// ||B v - lambda v|| for the unit eigenvector behind MDS column k.
+double mds_residual(const Matrix& b, const MdsResult& r, std::size_t k) {
+  const std::size_t n = b.rows();
+  const double lambda = r.eigenvalues[k];
+  const double scale = std::sqrt(lambda);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double bv = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      bv += b(i, j) * r.coordinates(j, k) / scale;
+    }
+    const double diff = bv - lambda * r.coordinates(i, k) / scale;
+    acc += diff * diff;
+  }
+  return std::sqrt(acc);
+}
+
+/// Checks classical_mds(d, 2) against the Jacobi oracle: eigenvalues,
+/// residuals, and coordinates under the sign convention (largest-|entry|
+/// positive, lowest index on ties).
+void expect_matches_oracle(const Matrix& d) {
+  const std::size_t n = d.rows();
+  auto mds = classical_mds(d, 2);
+  ASSERT_TRUE(mds.ok()) << mds.error().to_string();
+  const MdsResult& r = mds.value();
+  ASSERT_EQ(r.eigenvalues.size(), 2u);
+  const Matrix b = double_centered(d);
+  const double b_norm = b.frobenius_norm();
+  const EigenDecomposition oracle = symmetric_eigen(b);
+  for (std::size_t k = 0; k < 2; ++k) {
+    const double lambda = oracle.values[k];
+    EXPECT_NEAR(r.eigenvalues[k], lambda, 1e-9 * std::fabs(lambda))
+        << "n=" << n << " k=" << k;
+    EXPECT_LE(mds_residual(b, r, k), 1e-9 * b_norm) << "n=" << n;
+    std::size_t pivot = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (std::fabs(oracle.vectors(i, k)) >
+          std::fabs(oracle.vectors(pivot, k))) {
+        pivot = i;
+      }
+    }
+    const double sign = oracle.vectors(pivot, k) < 0.0 ? -1.0 : 1.0;
+    double worst = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double expected = sign * oracle.vectors(i, k) * std::sqrt(lambda);
+      worst = std::max(worst, std::fabs(r.coordinates(i, k) - expected));
+    }
+    EXPECT_LE(worst, 1e-8) << "n=" << n << " k=" << k;
+  }
+}
+
+TEST(MdsOracleTest, WaxmanHopMatricesMatchJacobi) {
+  for (const std::size_t n : {10u, 50u, 200u}) {
+    SCOPED_TRACE(n);
+    expect_matches_oracle(waxman_hops(n, 500 + n));
+  }
+}
+
+TEST(MdsOracleTest, PerturbedNonEuclideanMatricesMatchJacobi) {
+  for (const std::size_t n : {10u, 50u, 200u}) {
+    SCOPED_TRACE(n);
+    expect_matches_oracle(perturbed_distances(n, 600 + n));
+  }
+}
+
+TEST(MdsOracleTest, DegenerateGapRingAgreesUpToRotation) {
+  // The hop metric of a ring: B is circulant, so lambda1 == lambda2 and
+  // any orthonormal basis of that plane is a valid answer. Only the
+  // residuals and the subspace are defined: the coordinates must match
+  // Jacobi's after the best rotation/reflection (orthogonal Procrustes).
+  const std::size_t n = 40;
+  Matrix d(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t gap = i > j ? i - j : j - i;
+      d(i, j) = static_cast<double>(std::min(gap, n - gap));
+    }
+  }
+  auto mds = classical_mds(d, 2);
+  ASSERT_TRUE(mds.ok());
+  const MdsResult& r = mds.value();
+  const Matrix b = double_centered(d);
+  const EigenDecomposition oracle = symmetric_eigen(b);
+  ASSERT_NEAR(oracle.values[0], oracle.values[1], 1e-9 * oracle.values[0]);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_NEAR(r.eigenvalues[k], oracle.values[k], 1e-9 * oracle.values[k]);
+    EXPECT_LE(mds_residual(b, r, k), 1e-9 * b.frobenius_norm());
+  }
+  Matrix x_oracle(n, 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      x_oracle(i, k) = oracle.vectors(i, k) * std::sqrt(oracle.values[k]);
+    }
+  }
+  // Procrustes: R = U V^T from the SVD of M = X^T X_oracle, computed as
+  // R = M (M^T M)^{-1/2} with the 2x2 eigendecomposition of M^T M.
+  const Matrix m = r.coordinates.transpose() * x_oracle;
+  const EigenDecomposition mtm = symmetric_eigen(m.transpose() * m);
+  Matrix inv_sqrt(2, 2);
+  for (std::size_t k = 0; k < 2; ++k) {
+    ASSERT_GT(mtm.values[k], 0.0);
+    for (std::size_t r1 = 0; r1 < 2; ++r1) {
+      for (std::size_t c1 = 0; c1 < 2; ++c1) {
+        inv_sqrt(r1, c1) += mtm.vectors(r1, k) * mtm.vectors(c1, k) /
+                            std::sqrt(mtm.values[k]);
+      }
+    }
+  }
+  const Matrix rotation = m * inv_sqrt;
+  const Matrix aligned = r.coordinates * rotation;
+  EXPECT_LT(aligned.max_abs_diff(x_oracle), 1e-8);
 }
 
 TEST(KruskalStressTest, ZeroForExactMatch) {
