@@ -31,7 +31,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "sden/network.hpp"
-#include "shard/sharded_data_plane.hpp"
 
 using namespace gred;
 
@@ -157,8 +156,8 @@ struct ChurnReport {
 /// flow tables, and routed packets compared after every event); at
 /// every n the final delta-maintained APSP equals a fresh recompute,
 /// the repaired DT equals a fresh Bowyer-Watson build, and the
-/// patch_plans-maintained sharded plans route every packet identically
-/// to freshly recompiled ones.
+/// network's own patched route plan routes every packet identically to
+/// a fresh whole-network compile.
 ChurnReport run_churn(std::size_t n, bool smoke) {
   ChurnReport rep;
   rep.n = n;
@@ -204,9 +203,6 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     ingresses.push_back(rng.next_below(n));
   }
 
-  // 4-shard data plane kept current with patch_plans across the churn.
-  shard::ShardedDataPlane sdp(net, 4);
-
   sden::Packet pkt_scratch;
   sden::RouteResult scratch;
   auto warm = [&](sden::SdenNetwork& target) {
@@ -215,14 +211,24 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
       target.route(pkt_scratch, ingresses[i], scratch);
     }
   };
+  core::Controller& ctrl = sys.controller();
   warm(net);
   if (twin.has_value()) warm(twin->network());
+  // An incremental event patches the network's plan only when it was
+  // fresh going into the event; a full fallback (or a failed op that
+  // touched a switch through a mutating accessor) leaves it stale. One
+  // route recompiles a stale plan, as serving traffic between events
+  // would, so later events keep patching it and the
+  // patched-vs-recompiled gate after the churn checks a patched plan.
+  auto refresh_plan = [&] {
+    if (!net.route_plan_stale()) return;
+    pkt_scratch = pkts[0];
+    net.route(pkt_scratch, ingresses[0], scratch);
+  };
 
-  core::Controller& ctrl = sys.controller();
   const std::size_t rounds =
       smoke ? 12 : (n >= 4096 ? 12 : (n >= 1024 ? 20 : 40));
   std::vector<double> event_us;
-  std::vector<std::uint32_t> touched32;
   for (std::size_t step = 0; step < rounds; ++step) {
     const std::vector<sden::SwitchId>& parts = ctrl.space().participants();
     const sden::SwitchId a = parts[rng.next_below(parts.size())];
@@ -277,18 +283,11 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     if (twin.has_value()) {
       require(apply(*twin) == ok, "churn twins diverged on op outcome");
     }
+    refresh_plan();
     if (!ok) continue;  // e.g. duplicate link, would-disconnect removal
     event_us.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
-    if (ctrl.last_event_incremental()) {
-      ++rep.incremental_events;
-      const std::vector<topology::SwitchId>& aff =
-          ctrl.last_affected_switches();
-      touched32.assign(aff.begin(), aff.end());
-      sdp.patch_plans(touched32.data(), touched32.size());
-    } else {
-      sdp.recompile();
-    }
+    if (ctrl.last_event_incremental()) ++rep.incremental_events;
     if (twin.has_value()) {
       require(ctrl.apsp().dist == twin->controller().apsp().dist,
               "incremental APSP (hops) != full twin");
@@ -328,14 +327,7 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
       if (twin.has_value()) {
         require(twin->retract_range(srv).ok(), "twin cleanup retract");
       }
-      if (ctrl.last_event_incremental()) {
-        const std::vector<topology::SwitchId>& aff =
-            ctrl.last_affected_switches();
-        touched32.assign(aff.begin(), aff.end());
-        sdp.patch_plans(touched32.data(), touched32.size());
-      } else {
-        sdp.recompile();
-      }
+      refresh_plan();
     }
   }
 
@@ -362,21 +354,6 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     }
   }
 
-  // The patch_plans-maintained sharded plans vs a freshly recompiled
-  // plane, every packet bit-identical.
-  {
-    shard::ShardedDataPlane fresh_plane(net, 4);
-    std::vector<sden::RouteResult> patched(pkts.size());
-    std::vector<sden::RouteResult> recompiled(pkts.size());
-    sdp.replay(pkts.data(), ingresses.data(), pkts.size(), patched.data());
-    fresh_plane.replay(pkts.data(), ingresses.data(), pkts.size(),
-                       recompiled.data());
-    for (std::size_t i = 0; i < pkts.size(); ++i) {
-      require(results_equal(patched[i], recompiled[i]),
-              "patched sharded plan diverged from recompiled");
-    }
-  }
-
   // Steady-state routing through the (possibly patched) plan stays
   // alloc-free. Packets injected at a switch that left the DT (now an
   // inert transit) error out — legal, but the error Status allocates
@@ -391,7 +368,9 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   }
   // Doubles as the warm pass: every post-churn retrieval through the
   // patched plan must succeed and find its item before the alloc
-  // assertion means anything.
+  // assertion means anything. The results are kept for the
+  // patched-vs-recompiled gate below.
+  std::vector<sden::RouteResult> patched(pkts.size());
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     pkt_scratch = pkts[i];
     net.route(pkt_scratch, ingresses[i], scratch);
@@ -401,6 +380,7 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
     }
     require(scratch.status.ok(), "post-churn route errored");
     require(scratch.found, "post-churn retrieval missed");
+    patched[i] = scratch;
   }
   const std::size_t a0 = g_allocs.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < pkts.size(); ++i) {
@@ -411,6 +391,16 @@ ChurnReport run_churn(std::size_t n, bool smoke) {
   rep.allocs_per_packet =
       static_cast<double>(a1 - a0) / static_cast<double>(pkts.size());
   require(a1 == a0, "steady-state route after churn allocated");
+
+  // The network's own patched plan vs a fresh whole-network compile of
+  // the same flow tables: every packet bit-identical.
+  net.invalidate_plan();
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    pkt_scratch = pkts[i];
+    net.route(pkt_scratch, ingresses[i], scratch);
+    require(results_equal(patched[i], scratch),
+            "patched plan diverged from recompiled");
+  }
 
   // Full-recompute baseline: the same event class with the incremental
   // path off (full APSP + DT rebuild + reinstall), on this system so

@@ -1,14 +1,10 @@
 // Microbenchmarks (google-benchmark) for the primitive operations every
 // placement/retrieval touches: hashing, key derivation, the control
 // plane's embedding/DT pipeline, greedy routing, Chord lookups, a full
-// data-plane walk, and the sharded runtime's SPSC handoff primitives.
+// data-plane walk, and the route-plan patch.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <thread>
-
 #include "bench_util.hpp"
-#include "common/spsc_ring.hpp"
 #include "crypto/sha256.hpp"
 #include "geometry/delaunay.hpp"
 #include "graph/shortest_path.hpp"
@@ -184,81 +180,6 @@ void BM_GredRetrievalFastPath(benchmark::State& state) {
 }
 BENCHMARK(BM_GredRetrievalFastPath);
 
-void BM_SpscRingPushPop(benchmark::State& state) {
-  // Single-item handoff floor with the ring hot in cache: one producer
-  // publish (release store) plus one consumer retire, no contention.
-  SpscRing<std::uint64_t> ring(1024);
-  std::uint64_t v = 0;
-  std::uint64_t out = 0;
-  for (auto _ : state) {
-    ring.push(v++);
-    ring.pop(out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscRingPushPop);
-
-void BM_SpscRingBatch64(benchmark::State& state) {
-  // Batched variant: one tail publish and one head retire amortized
-  // over 64 continuations — the sharded data plane's drain shape.
-  SpscRing<std::uint64_t> ring(1024);
-  std::uint64_t buf[64];
-  for (std::uint64_t i = 0; i < 64; ++i) buf[i] = i;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.push_batch(buf, 64));
-    benchmark::DoNotOptimize(ring.pop_batch(buf, 64));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_SpscRingBatch64);
-
-void BM_SpscCrossThreadHandoff(benchmark::State& state) {
-  // Round trip through an echo thread over a ring pair — the real
-  // cross-shard cost including the coherence misses the single-thread
-  // benchmarks above cannot see. Arg is the batch size per trip
-  // (1 = latency-bound, 64 = throughput shape). On an oversubscribed
-  // host (1-core CI) this degenerates to scheduler switches; the
-  // numbers are still reported honestly.
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  SpscRing<std::uint64_t> to(1024);
-  SpscRing<std::uint64_t> back(1024);
-  std::atomic<bool> stop{false};
-  std::thread echo([&] {
-    std::uint64_t buf[64];
-    while (!stop.load(std::memory_order_relaxed)) {
-      const std::size_t n = to.pop_batch(buf, 64);
-      if (n == 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      std::size_t pushed = 0;
-      while (pushed < n) pushed += back.push_batch(buf + pushed, n - pushed);
-    }
-  });
-  std::uint64_t buf[64];
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) buf[i] = v++;
-    std::size_t pushed = 0;
-    while (pushed < batch) {
-      pushed += to.push_batch(buf + pushed, batch - pushed);
-    }
-    std::size_t got = 0;
-    while (got < batch) {
-      const std::size_t n = back.pop_batch(buf + got, batch - got);
-      if (n == 0) std::this_thread::yield();
-      got += n;
-    }
-    benchmark::DoNotOptimize(buf[0]);
-  }
-  stop.store(true, std::memory_order_relaxed);
-  echo.join();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_SpscCrossThreadHandoff)->Arg(1)->Arg(64);
-
 void BM_ApspDeltaEdgeToggle(benchmark::State& state) {
   // One incremental control-plane APSP update: add a link, delta-patch
   // the distance matrix, remove it, delta-patch back. Two delta ops per
@@ -342,16 +263,14 @@ void BM_PlanPatchSwitch(benchmark::State& state) {
     return;
   }
   auto& network = sys.value().network();
-  std::vector<std::uint32_t> owned(n);
-  for (std::size_t i = 0; i < n; ++i) owned[i] = static_cast<std::uint32_t>(i);
   sden::RoutePlan plan;
-  network.compile_plan_subset(plan, owned.data(), owned.size());
+  network.compile_plan(plan);
   sden::PlanPatch patch;
   Rng rng(9);
   for (auto _ : state) {
     const auto t = static_cast<std::uint32_t>(rng.next_below(n));
     if (!network.prepare_plan_patch(plan, &t, 1, patch)) {
-      network.compile_plan_subset(plan, owned.data(), owned.size());
+      network.compile_plan(plan);
       continue;
     }
     network.commit_plan_patch(plan, patch);

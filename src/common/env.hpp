@@ -1,8 +1,7 @@
-// Validated parsing of the parallelism knobs (GRED_THREADS,
-// GRED_SHARDS). A silently misparsed value used to degrade to a
-// confusing default (e.g. GRED_THREADS=8x configuring one thread);
-// these helpers reject garbage loudly and fall back to the hardware
-// instead.
+// Validated parsing of the parallelism knob (GRED_THREADS). A silently
+// misparsed value used to degrade to a confusing default (e.g.
+// GRED_THREADS=8x configuring one thread); these helpers reject garbage
+// loudly and fall back to the hardware instead.
 #pragma once
 
 #include <cstddef>

@@ -12,7 +12,7 @@
 //   while (!condition) cv.wait(lock);
 // loops — the condition reads then happen syntactically inside the
 // locked scope and the analysis checks them like any other guarded
-// access (DESIGN.md §13).
+// access (DESIGN.md §12).
 #pragma once
 
 #include <condition_variable>

@@ -1,5 +1,5 @@
 // Clang thread-safety-analysis macros plus the hot-path markers the
-// static-analysis tooling keys on (DESIGN.md §13).
+// static-analysis tooling keys on (DESIGN.md §12).
 //
 // The GRED_* thread-safety macros expand to Clang's capability
 // attributes under Clang and to nothing elsewhere, so GCC builds are

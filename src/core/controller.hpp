@@ -234,8 +234,9 @@ class Controller {
   void set_incremental(bool on) { incremental_ = on; }
 
   /// Switches whose installable state the last dynamics op changed,
-  /// sorted ascending — the patch set for ShardedDataPlane::
-  /// patch_plans. Empty after a full reinstall (everything changed).
+  /// sorted ascending — the patch set the controller hands to
+  /// SdenNetwork::patch_plan. Empty after a full reinstall (everything
+  /// changed).
   const std::vector<topology::SwitchId>& last_affected_switches() const {
     return last_affected_;
   }

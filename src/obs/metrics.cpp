@@ -60,10 +60,6 @@ std::size_t this_thread_shard() {
   return t_shard;
 }
 
-void pin_this_thread_shard(std::size_t slot) {
-  t_shard = slot % kMetricShards;
-}
-
 std::uint64_t Counter::value() const {
   std::uint64_t total = 0;
   for (const Slot& s : slots_) {

@@ -38,14 +38,8 @@ namespace gred::obs {
 inline constexpr std::size_t kMetricShards = 16;
 
 /// Slot index of the calling thread (assigned round-robin on first
-/// use, unless pinned).
+/// use).
 std::size_t this_thread_shard();
-
-/// Pins the calling thread's metric slot to `slot % kMetricShards`.
-/// The sharded data plane pins each shard worker to its shard id, so a
-/// metric's per-slot breakdown is the per-shard breakdown and a shard's
-/// hot-path bumps never contend with another shard's slot.
-void pin_this_thread_shard(std::size_t slot);
 
 /// Monotonic event counter.
 class Counter {

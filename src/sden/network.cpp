@@ -128,7 +128,7 @@ void SdenNetwork::route(Packet& pkt, SwitchId ingress, RouteResult& result) {
   // (and link-existence check) was precompiled into the chosen
   // candidate/relay, so no Switch, FlowTable, or Graph memory is
   // touched until delivery. The per-iteration logic lives in
-  // plan_step (sden/plan_walk.hpp), shared with the sharded runtime.
+  // plan_step (sden/plan_walk.hpp).
   const RoutePlan& plan = ensure_plan();
 
   // Injected physical faults: null in normal operation, so the healthy
@@ -268,20 +268,11 @@ void SdenNetwork::rebuild_plan_slow() {
   // relaxed: the mutex orders this re-check against the previous
   // holder's store; only the flag value matters here.
   if (state.dirty.load(std::memory_order_relaxed)) {
-    rebuild_plan(state.plan);
+    compile_plan(state.plan);
     // release: publishes the rebuilt plan to lock-free readers that
     // acquire dirty==false in ensure_plan.
     state.dirty.store(false, std::memory_order_release);
   }
-}
-
-void SdenNetwork::rebuild_plan(RoutePlan& plan) const {
-  // The whole-network plan is the subset plan that owns every switch.
-  std::vector<std::uint32_t> owned(switches_.size());
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    owned[i] = static_cast<std::uint32_t>(i);
-  }
-  compile_plan_subset(plan, owned.data(), owned.size());
 }
 
 void SdenNetwork::compile_switch_region(
@@ -369,26 +360,22 @@ void SdenNetwork::compile_switch_region(
   }
 }
 
-void SdenNetwork::compile_plan_subset(RoutePlan& plan,
-                                      const std::uint32_t* owned,
-                                      std::size_t count) const {
+void SdenNetwork::compile_plan(RoutePlan& plan) const {
   plan.clear();
-  plan.offset.assign(switches_.size(), kPlanNoRegion);
+  plan.offset.resize(switches_.size());
   plan.relay_dests.resize(switches_.size());
 
   // Blob size up front: header words plus four columns per candidate,
-  // for every owned switch, each region rounded up to a cache line.
+  // for every switch, each region rounded up to a cache line.
   std::size_t words = 0;
-  for (std::size_t j = 0; j < count; ++j) {
-    const Switch& sw = switches_[owned[j]];
+  for (const Switch& sw : switches_) {
     words += (kPlanHeaderWords + 4 * sw.table().neighbors().size() + 7) & ~7u;
   }
   plan.hot.reserve(words);
 
   std::vector<std::uint32_t> dests;
   std::vector<std::pair<Key2, PlanRelay>> relays;
-  for (std::size_t j = 0; j < count; ++j) {
-    const std::size_t i = owned[j];
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
     // Cache-line-aligned region start (the vector data itself is
     // 16-byte aligned at worst; 64-byte relative alignment still keeps
     // the header plus first column words on the minimum line count).
@@ -520,7 +507,7 @@ void SdenNetwork::patch_plan(const std::uint32_t* touched,
   if (prepare_plan_patch(state.plan, touched, count, patch)) {
     commit_plan_patch(state.plan, patch);
   } else {
-    rebuild_plan(state.plan);
+    compile_plan(state.plan);
   }
   // release: publishes the patched plan to lock-free readers that
   // acquire dirty==false in ensure_plan, like rebuild_plan_slow.

@@ -183,29 +183,22 @@ class SdenNetwork {
     return plan_->dirty.load(std::memory_order_acquire);
   }
 
-  /// Compiles a shard-local route plan covering exactly the `count`
-  /// switches listed in `owned`: their regions, their attached-server
-  /// slices, and the relay entries whose source switch is owned. The
-  /// offset table spans all switches, with kPlanNoRegion for non-owned
-  /// ones. The sharded runtime builds one such plan per shard from the
-  /// same flow tables the whole-network plan compiles from, so a walk
-  /// stepping only through owned regions (sden/plan_walk.hpp) stays
-  /// bit-identical to the single-plan walk. Read-only: does not touch
-  /// the network's own cached plan or its dirty flag.
-  void compile_plan_subset(RoutePlan& plan, const std::uint32_t* owned,
-                           std::size_t count) const;
+  /// Compiles the whole-network route plan into `plan` from the
+  /// current flow tables: every switch's region, attached-server slice
+  /// and relay entries. Read-only: does not touch the network's own
+  /// cached plan or its dirty flag (ensure_plan compiles into that one).
+  void compile_plan(RoutePlan& plan) const;
 
-  /// Incremental counterpart of compile_plan_subset: recompiles only
-  /// the regions of the `count` switches in `touched` (sorted, unique)
+  /// Incremental counterpart of compile_plan: recompiles only the
+  /// regions of the `count` switches in `touched` (sorted, unique)
   /// into an already-compiled `plan`, leaving every other region
   /// untouched. Fills `patch` with the compiled blobs and grows the
   /// plan's arrays to their final sizes (all allocation happens here);
   /// commit_plan_patch then applies the writes. Returns false when the
   /// patch is not worth applying — the plan was never compiled, or the
   /// accumulated dead words would pass half the hot array — in which
-  /// case the caller should recompile the subset from scratch.
-  /// Read-only with respect to the flow tables; `plan` may be the
-  /// network's own cached plan or a shard-subset plan.
+  /// case the caller should recompile from scratch. Read-only with
+  /// respect to the flow tables.
   bool prepare_plan_patch(RoutePlan& plan, const std::uint32_t* touched,
                           std::size_t count, PlanPatch& patch) const;
 
@@ -228,22 +221,9 @@ class SdenNetwork {
 
   /// Hop bound of a single walk (relay hops included): exceeding it
   /// means a forwarding-table bug, classified as kRoutingLoop. Shared
-  /// by route() and the sharded runtime so their bound trips at the
+  /// by route() and the seed-faithful walk so their bound trips at the
   /// identical step.
   std::size_t max_route_hops() const { return 4 * switches_.size() + 16; }
-
-  /// Compiled delivery at a terminal switch owning the packet's data.
-  /// `base` is the terminal's region inside `plan` (which may be a
-  /// shard-subset plan — its servers array is self-contained). Public
-  /// for the sharded runtime; switches with rewrites installed take the
-  /// live pipeline via the deliver-fallback flag. Concurrent calls are
-  /// safe for retrievals/removals on disjoint (pkt, result) pairs.
-  // cold: delivery mutates server storage / copies the payload string —
-  // out of the hop loop's closure; one call per packet, not per hop.
-  GRED_COLD_PATH Status deliver_compiled(const RoutePlan& plan,
-                                         const double* base, Packet& pkt,
-                                         std::uint32_t terminal,
-                                         RouteResult& result);
 
   /// Installs (or clears, with nullptr) the injected physical-fault
   /// state. Not owned; the pointer must stay valid while set. Both the
@@ -273,6 +253,17 @@ class SdenNetwork {
  private:
   Status deliver_to_targets(const Decision& decision, Packet& pkt,
                             SwitchId terminal, RouteResult& result);
+  /// Compiled delivery at a terminal switch owning the packet's data.
+  /// `base` is the terminal's region inside `plan`; switches with
+  /// rewrites installed take the live pipeline via the deliver-fallback
+  /// flag. Concurrent calls are safe for retrievals/removals on
+  /// disjoint (pkt, result) pairs.
+  // cold: delivery mutates server storage / copies the payload string —
+  // out of the hop loop's closure; one call per packet, not per hop.
+  GRED_COLD_PATH Status deliver_compiled(const RoutePlan& plan,
+                                         const double* base, Packet& pkt,
+                                         std::uint32_t terminal,
+                                         RouteResult& result);
   /// Returns the up-to-date compiled plan, rebuilding it first when a
   /// mutating accessor flagged it dirty. The dirty check itself stays
   /// on the hot path (one acquire load); the lock-and-rebuild lives in
@@ -281,7 +272,6 @@ class SdenNetwork {
   // cold: takes the rebuild mutex and recompiles the whole plan; runs
   // only after a control-plane mutation, never in the steady state.
   GRED_COLD_PATH void rebuild_plan_slow();
-  void rebuild_plan(RoutePlan& plan) const;
   /// Compiles switch `i`'s plan region, appending the region words
   /// (header + four candidate columns) to `words`, the attached-server
   /// ids to `servers`, and the first-wins-deduped relay actions to

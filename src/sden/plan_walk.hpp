@@ -1,10 +1,8 @@
-// One iteration of the compiled greedy walk, shared by
-// SdenNetwork::route (whole-network plan) and the sharded runtime
-// (per-shard plan subsets). Extracting the step keeps the two
-// bit-identical by construction: there is exactly one implementation of
-// the relay stage, the branch-free argmin, and the closer_to tie-break,
-// and both callers feed it the same per-switch region layout
-// (route_plan.hpp).
+// One iteration of the compiled greedy walk over the whole-network
+// route plan, driven by SdenNetwork::route. Keeping the step in one
+// place gives exactly one implementation of the relay stage, the
+// branch-free argmin, and the closer_to tie-break over the per-switch
+// region layout (route_plan.hpp).
 //
 // The caller owns everything around the step: the hop bound, fault
 // checks on a committed hop (which come AFTER the missing-link check,
@@ -43,7 +41,7 @@ struct PlanStep {
 /// latter happens even when the step then fails on a missing link,
 /// matching SdenNetwork::route's historical order; a failed result
 /// discards the scratch packet anyway). `plan` must contain a region
-/// for `cur` — sharded callers check ownership first.
+/// for `cur`.
 GRED_HOT_PATH inline PlanStep plan_step(const RoutePlan& plan,
                                         std::uint32_t cur, Packet& pkt) {
   const double* const hot = plan.hot.data();

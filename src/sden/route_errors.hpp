@@ -84,7 +84,7 @@ GRED_COLD_PATH inline Status pipeline_drop(SwitchId at, ErrorCode code,
 }
 
 /// Injection at a switch id outside the network. Shared by every
-/// router front-end (compiled, reference, seed, sharded) so the
+/// router front-end (compiled, reference, seed) so the
 /// terminal status stays bit-identical across them.
 // cold: failure-path status construction builds a std::string
 // message; drops are the exception, not the steady state.

@@ -46,10 +46,9 @@ namespace gred::sden {
 /// keeps the packed actions to one double each).
 inline constexpr std::uint32_t kNoPlanSwitch = 0xffffffffu;
 
-/// Offset-table sentinel for a switch with no region in this plan. The
-/// whole-network plan never contains it; shard-subset plans
-/// (SdenNetwork::compile_plan_subset) use it for switches owned by
-/// other shards, whose walks must never be stepped here.
+/// Offset-table sentinel for a switch with no region yet: one added
+/// since the plan was last compiled and still waiting for its patch
+/// (SdenNetwork::prepare_plan_patch). compile_plan never emits it.
 inline constexpr std::uint32_t kPlanNoRegion = 0xffffffffu;
 
 inline constexpr std::uint32_t kPlanFlagDt = 1u;

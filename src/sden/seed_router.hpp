@@ -5,9 +5,9 @@
 // a fresh SHA-256 of the data id at every delivery, and a freshly
 // allocated RouteResult per packet. It is the slowest and most literal
 // of the reference walks; the differential tests hold the compiled
-// fast path, the live pipeline (reference_router.hpp), the sharded
-// runtime, and this walk mutually bit-identical, statuses included
-// (via the shared route_errors constructors).
+// fast path, the live pipeline (reference_router.hpp), and this walk
+// mutually bit-identical, statuses included (via the shared
+// route_errors constructors).
 #pragma once
 
 #include <string>

@@ -1,8 +1,9 @@
 // Data-plane fast-path tests: the compiled route plan held
-// bit-identical to the live pipeline on random topologies, plan
-// invalidation on every mutation route, the indexed FlowTable,
-// ItemStore, EventQueue ordering, and thread-count invariance of the
-// parallel retrieval replay.
+// bit-identical to the live pipeline and the seed-faithful walk on
+// random topologies (also across a whole-plan recompile and for an
+// out-of-range ingress), plan invalidation on every mutation route,
+// the indexed FlowTable, ItemStore, EventQueue ordering, and
+// thread-count invariance of the parallel retrieval replay.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,6 +19,7 @@
 #include "sden/item_store.hpp"
 #include "sden/network.hpp"
 #include "sden/reference_router.hpp"
+#include "sden/seed_router.hpp"
 #include "topology/waxman.hpp"
 
 namespace gred {
@@ -71,8 +73,8 @@ void expect_identical(const sden::RouteResult& a, const sden::RouteResult& b,
 }
 
 // The compiled fast path must produce the exact RouteResult of the
-// live Switch::process walk for every packet type, on several random
-// Waxman substrates.
+// live Switch::process walk and of the seed-faithful walk for every
+// packet type, on several random Waxman substrates.
 TEST(DataPlaneDifferential, FastPathMatchesLivePipeline) {
   for (const std::size_t n : {24u, 64u}) {
     for (const std::uint64_t seed : {501u, 502u}) {
@@ -89,8 +91,9 @@ TEST(DataPlaneDifferential, FastPathMatchesLivePipeline) {
             "diff-" + std::to_string(seed) + "-" + std::to_string(i);
         const sden::SwitchId ingress = rng.next_below(n);
 
-        // Placement: fast path first (stores), then the reference
-        // overwrites the same id — identical path and delivery.
+        // Placement: fast path first (stores), then the reference and
+        // the seed-faithful walk overwrite the same id — identical path
+        // and delivery.
         scratch = make_packet(id, sden::PacketType::kPlacement, "v-" + id);
         net.route(scratch, ingress, fast);
         ASSERT_TRUE(fast.status.ok());
@@ -98,6 +101,10 @@ TEST(DataPlaneDifferential, FastPathMatchesLivePipeline) {
             net, make_packet(id, sden::PacketType::kPlacement, "v-" + id),
             ingress);
         expect_identical(fast, ref_place, "placement " + id);
+        const sden::RouteResult seed_place = sden::seed_faithful_route(
+            net, make_packet(id, sden::PacketType::kPlacement, "v-" + id),
+            ingress);
+        expect_identical(fast, seed_place, "seed placement " + id);
 
         // Retrieval from a different random ingress.
         const sden::SwitchId r_ingress = rng.next_below(n);
@@ -109,6 +116,9 @@ TEST(DataPlaneDifferential, FastPathMatchesLivePipeline) {
         const sden::RouteResult ref_get = sden::reference_route(
             net, make_packet(id, sden::PacketType::kRetrieval), r_ingress);
         expect_identical(fast, ref_get, "retrieval " + id);
+        const sden::RouteResult seed_get = sden::seed_faithful_route(
+            net, make_packet(id, sden::PacketType::kRetrieval), r_ingress);
+        expect_identical(fast, seed_get, "seed retrieval " + id);
 
         // Removal via the fast path; the reference then misses.
         scratch = make_packet(id, sden::PacketType::kRemoval);
@@ -121,6 +131,86 @@ TEST(DataPlaneDifferential, FastPathMatchesLivePipeline) {
       }
     }
   }
+}
+
+// Four-way retrieval differential: the compiled fast path on the
+// cached plan, the fast path again on a whole plan recompiled after
+// invalidate_plan(), the live pipeline and the seed-faithful walk
+// must agree bit for bit on every packet, on several random Waxman
+// substrates. The suite keeps the name it had when a sharded runtime
+// was a fifth arm.
+TEST(ShardDifferential, FourWayBitIdentical) {
+  for (const std::size_t n : {24u, 64u}) {
+    for (const std::uint64_t seed : {901u, 902u}) {
+      auto sys = core::GredSystem::create(make_net(n, seed),
+                                          core::VirtualSpaceOptions{});
+      ASSERT_TRUE(sys.ok());
+      sden::SdenNetwork& net = sys.value().network();
+
+      // Place 40 ids through the fast path, then retrieve each from a
+      // fresh random ingress.
+      Rng rng(seed * 13);
+      std::vector<sden::Packet> pkts;
+      std::vector<sden::SwitchId> ingresses;
+      sden::RouteResult cached;
+      sden::Packet scratch;
+      for (std::size_t i = 0; i < 40; ++i) {
+        const std::string id =
+            "sh-" + std::to_string(seed) + "-" + std::to_string(i);
+        scratch = make_packet(id, sden::PacketType::kPlacement, "v-" + id);
+        net.route(scratch, rng.next_below(n), cached);
+        ASSERT_TRUE(cached.status.ok()) << id;
+        pkts.push_back(make_packet(id, sden::PacketType::kRetrieval));
+        ingresses.push_back(rng.next_below(n));
+      }
+
+      std::vector<sden::RouteResult> first(pkts.size());
+      for (std::size_t i = 0; i < pkts.size(); ++i) {
+        scratch = pkts[i];
+        net.route(scratch, ingresses[i], first[i]);
+      }
+      net.invalidate_plan();
+      ASSERT_TRUE(net.route_plan_stale());
+
+      sden::RouteResult recompiled;
+      for (std::size_t i = 0; i < pkts.size(); ++i) {
+        const std::string what =
+            "pkt " + std::to_string(i) + " n=" + std::to_string(n);
+        EXPECT_TRUE(first[i].found) << what;
+        scratch = pkts[i];
+        net.route(scratch, ingresses[i], recompiled);
+        expect_identical(first[i], recompiled, "recompiled " + what);
+        const sden::RouteResult live =
+            sden::reference_route(net, pkts[i], ingresses[i]);
+        expect_identical(first[i], live, "live " + what);
+        const sden::RouteResult seeded =
+            sden::seed_faithful_route(net, pkts[i], ingresses[i]);
+        expect_identical(first[i], seeded, "seed " + what);
+      }
+      EXPECT_FALSE(net.route_plan_stale());
+    }
+  }
+}
+
+// An ingress past the last switch fails the same way on the fast
+// path, the live pipeline and the seed-faithful walk.
+TEST(ShardDifferential, OutOfRangeIngressMatchesRoute) {
+  auto sys = core::GredSystem::create(make_net(16, 910),
+                                      core::VirtualSpaceOptions{});
+  ASSERT_TRUE(sys.ok());
+  sden::SdenNetwork& net = sys.value().network();
+  const sden::Packet pkt = make_packet("oor", sden::PacketType::kRetrieval);
+  const sden::SwitchId ingress = 9999;
+
+  sden::RouteResult fast;
+  sden::Packet scratch = pkt;
+  net.route(scratch, ingress, fast);
+  ASSERT_FALSE(fast.status.ok());
+  EXPECT_EQ(fast.status.error().code, ErrorCode::kOutOfRange);
+  expect_identical(fast, sden::reference_route(net, pkt, ingress),
+                   "live out-of-range ingress");
+  expect_identical(fast, sden::seed_faithful_route(net, pkt, ingress),
+                   "seed out-of-range ingress");
 }
 
 // Mutating a switch through any accessor must invalidate the compiled

@@ -10,8 +10,7 @@
 //   2. its repaired DT adjacency equals a fresh Bowyer-Watson build,
 //   3. its installed flow tables equal the full-rebuild twin's, and
 //      packets route bit-identically through the full twin's live
-//      plan, the incremental twin's PATCHED plan, and a 4-shard
-//      ShardedDataPlane kept current via patch_plans().
+//      plan and the incremental twin's PATCHED plan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +23,6 @@
 #include "geometry/delaunay.hpp"
 #include "graph/shortest_path.hpp"
 #include "sden/network.hpp"
-#include "shard/sharded_data_plane.hpp"
 #include "topology/waxman.hpp"
 
 namespace gred {
@@ -135,11 +133,6 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
   ASSERT_TRUE(ctrl_inc.initialize(net_inc).ok());
   ASSERT_TRUE(ctrl_full.initialize(net_full).ok());
 
-  // 4-shard sharded runtime over the INCREMENTAL network, kept current
-  // with patch_plans after every incremental event (fixed shard count
-  // so the TSan tree exercises the cross-shard rings deterministically).
-  shard::ShardedDataPlane sdp(net_inc, 4);
-
   // Seed identical storage through both fast paths.
   Rng seed_rng(0xF00Du);
   std::vector<std::string> live;
@@ -155,7 +148,6 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
     }
     live.push_back(id);
   }
-  sdp.recompile();  // placements invalidated the compiled plans
 
   Rng rng(0xD15EA5Eu);
   auto random_participant = [&]() -> SwitchId {
@@ -166,7 +158,6 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
   // After every event, the three-way ground-truth check.
   std::vector<sden::Packet> pkts;
   std::vector<SwitchId> ingresses;
-  std::vector<sden::RouteResult> shard_results;
   auto verify = [&](int step) {
     // 1. Delta-maintained APSP tables == fresh BFS/Dijkstra, bit-equal.
     const graph::Graph& g = net_inc.description().switches();
@@ -202,9 +193,6 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
       pkts.push_back(make_packet(id, sden::PacketType::kRetrieval));
       ingresses.push_back(rng.next_below(net_inc.switch_count()));
     }
-    shard_results.resize(pkts.size());
-    sdp.replay(pkts.data(), ingresses.data(), pkts.size(),
-               shard_results.data());
     for (std::size_t i = 0; i < pkts.size(); ++i) {
       sden::Packet via_full = pkts[i];
       sden::RouteResult full_res;
@@ -215,7 +203,6 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
       const std::string what =
           "step " + std::to_string(step) + " pkt " + std::to_string(i);
       expect_identical(full_res, inc_res, what + " (patched plan)");
-      expect_identical(full_res, shard_results[i], what + " (sharded)");
     }
   };
 
@@ -282,16 +269,7 @@ TEST(IncrementalChurn, SeededSoakMatchesFullRebuildBitExact) {
     ASSERT_EQ(ok_inc, ok_full) << "step " << step << " op " << op
                                << ": twins diverged on op outcome";
 
-    if (ok_inc) {
-      if (ctrl_inc.last_event_incremental()) {
-        ++incremental_events;
-        const auto& affected = ctrl_inc.last_affected_switches();
-        std::vector<std::uint32_t> touched(affected.begin(), affected.end());
-        sdp.patch_plans(touched.data(), touched.size());
-      } else {
-        sdp.recompile();
-      }
-    }
+    if (ok_inc && ctrl_inc.last_event_incremental()) ++incremental_events;
 
     verify(step);
     ASSERT_FALSE(::testing::Test::HasFailure())

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/env.hpp"
+
 namespace gred {
 namespace {
 
@@ -101,6 +103,28 @@ TEST(ThreadPoolTest, DefaultThreadCountReadsEnvironment) {
   EXPECT_GE(ThreadPool::default_thread_count(), 1u);
   ASSERT_EQ(unsetenv("GRED_THREADS"), 0);
   EXPECT_GE(ThreadPool::default_thread_count(), 1u);
+}
+
+// --- Validated parallelism knob parsing (common/env.hpp) ---------------
+
+TEST(EnvParallelism, AcceptsPlainIntegersInRange) {
+  ::setenv("GRED_TEST_PAR", "16", 1);
+  EXPECT_EQ(env_parallelism("GRED_TEST_PAR"), 16u);
+  ::setenv("GRED_TEST_PAR", "1", 1);
+  EXPECT_EQ(env_parallelism("GRED_TEST_PAR"), 1u);
+  ::unsetenv("GRED_TEST_PAR");
+  EXPECT_EQ(env_parallelism("GRED_TEST_PAR"), 0u);  // unset: use fallback
+}
+
+TEST(EnvParallelism, RejectsGarbageZeroAndAbsurd) {
+  for (const char* bad : {"8x", "x8", "-3", "+4", " 5", "5 ", "", "0",
+                          "1e3", "0x10", "99999999"}) {
+    ::setenv("GRED_TEST_PAR", bad, 1);
+    EXPECT_EQ(env_parallelism("GRED_TEST_PAR"), 0u) << "'" << bad << "'";
+  }
+  ::setenv("GRED_TEST_PAR", "junk", 1);
+  EXPECT_GE(env_parallelism_or_hardware("GRED_TEST_PAR"), 1u);
+  ::unsetenv("GRED_TEST_PAR");
 }
 
 }  // namespace

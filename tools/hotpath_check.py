@@ -2,7 +2,7 @@
 """GRED_HOT_PATH closure verifier (registered as ctest `lint.hotpath`).
 
 The data plane's contract is "zero allocations, zero locks, zero
-blocking in the steady state" (DESIGN.md §13). bench_data_plane proves
+blocking in the steady state" (DESIGN.md §12). bench_data_plane proves
 the allocation half at runtime for the schedules it happens to run;
 this tool proves the whole contract statically, for every path:
 

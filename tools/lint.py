@@ -13,7 +13,7 @@ Project-specific rules that clang-tidy does not cover:
   pragma-once    every header must open with #pragma once.
   catch-value    `catch (SomeType e)` slices; catch by (const) reference.
 
-Concurrency rules (DESIGN.md §13):
+Concurrency rules (DESIGN.md §12):
 
   memory-order   an explicit std::memory_order_* argument in src/ needs
                  a justification comment — `relaxed:`, `acquire:`,
@@ -171,7 +171,7 @@ def lint_file(path: Path, rel: str, findings: list) -> None:
             findings.append((rel, ln, "memory-order",
                              "explicit memory order without a "
                              "`relaxed:`/`acquire:`/... justification "
-                             "comment nearby (DESIGN.md §13)"))
+                             "comment nearby (DESIGN.md §12)"))
         if RE_SLEEP.search(code):
             findings.append((rel, ln, "sleep",
                              "library code never sleeps; yield in poll "
